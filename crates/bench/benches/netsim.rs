@@ -1,7 +1,10 @@
 //! Transfer-simulator benchmarks behind Table II: the cost of the fluid
-//! simulation itself across the paper's file-size sweep.
+//! simulation itself across the paper's file-size sweep, plus the streamed
+//! pipeline's window back-pressure passes, the simulator's hottest caller.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ocelot::orchestrator::{Orchestrator, PipelineOptions};
+use ocelot::workload::Workload;
 use ocelot_netsim::{
     simulate_shared_link, simulate_transfer, simulate_transfer_with_faults, BatchSpec, FaultModel, GridFtpConfig,
     SiteId, Topology,
@@ -56,5 +59,33 @@ fn bench_faults_and_contention(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_table2_sweep, bench_tuned_vs_untuned, bench_faults_and_contention);
+/// `Orchestrator::run_streamed` on the CESM transfer of the service's climate
+/// tenant: 7137 chunks at `codec_threads` 1, stream window 4, 2% WAN faults.
+/// Each call simulates the whole transfer once per back-pressure pass, up to
+/// 33 times, and this workload reaches that cap.
+fn bench_stream_window_passes(c: &mut Criterion) {
+    let workload = Workload::cesm(ocelot_sz::LossyConfig::sz3(1e-4), 16).expect("CESM profiling succeeds");
+    let orchestrator = Orchestrator::paper();
+    let opts = PipelineOptions {
+        faults: FaultModel { max_retries: 0, ..FaultModel::flaky(0.02) },
+        codec_threads: 1,
+        stream_window: 4,
+        seed: 1,
+        ..PipelineOptions::default()
+    };
+    let mut g = c.benchmark_group("stream_window_passes");
+    g.sample_size(10);
+    g.bench_function("cesm_w4", |b| {
+        b.iter(|| orchestrator.run_streamed(&workload, SiteId::Anvil, SiteId::Cori, &opts))
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_table2_sweep,
+    bench_tuned_vs_untuned,
+    bench_faults_and_contention,
+    bench_stream_window_passes
+);
 criterion_main!(benches);

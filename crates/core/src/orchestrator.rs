@@ -9,8 +9,8 @@
 
 use ocelot_faas::{Cluster, WaitTimeModel};
 use ocelot_netsim::{
-    draw_faults, simulate_transfer_detailed, simulate_transfer_with_faults, FaultDraw, FaultModel, GridFtpConfig,
-    SiteId, Topology,
+    draw_faults, simulate_transfer_detailed, simulate_transfer_unrecorded, simulate_transfer_with_faults, FaultDraw,
+    FaultModel, GridFtpConfig, SiteId, Topology,
 };
 use ocelot_obs::ledger::{Draft, EventKind};
 
@@ -563,6 +563,15 @@ impl Orchestrator {
     /// window space) are recorded as `pipeline.transfer.stream_stall` spans
     /// so critical-path analysis attributes them separately from transfer.
     ///
+    /// The window is applied by a capped Jacobi iteration, not a converged
+    /// fixpoint: each pass lifts chunk `m`'s release to the previous pass's
+    /// landing of chunk `m − W` and re-simulates the whole transfer, for at
+    /// most 32 passes after the first. On the service's CESM, RTM and
+    /// Miranda workloads at `W = 4` it hits that cap with most chunks still
+    /// starting before chunk `m − W` lands, so the reported transfer is
+    /// shorter than a window-respecting one (DESIGN.md, "Streaming pipeline
+    /// & back-pressure", records the measurements and the deferred fix).
+    ///
     /// # Panics
     /// Panics if `from == to` or node counts are zero.
     pub fn run_streamed(&self, workload: &Workload, from: SiteId, to: SiteId, opts: &PipelineOptions) -> TimeBreakdown {
@@ -634,12 +643,18 @@ impl Orchestrator {
             payload.clone()
         };
 
-        // Window-W back-pressure fixpoint: chunk m cannot ship before chunk
-        // m−W has fully landed. Releasing later only delays completions, so
-        // the iteration is monotone; it converges once no release moves.
+        // Window-W back-pressure: chunk m cannot ship before chunk m−W has
+        // fully landed. Each pass raises every release to the previous
+        // pass's landing of chunk m−W and re-simulates the whole transfer (a
+        // Jacobi iteration), stopping when no release moves or after 32
+        // passes. Releases only ever rise, but with max–min sharing a later
+        // release can let other chunks land sooner, so the iteration is not
+        // monotone and at W=4 it stops at the cap without converging (see
+        // DESIGN.md). The passes record no metrics; the kept one is counted
+        // once.
         let window = opts.stream_window;
         let mut release = ready.clone();
-        let mut detail = simulate_transfer_detailed(&wire, Some(&release), &route.link, &opts.gridftp, opts.seed);
+        let mut detail = simulate_transfer_unrecorded(&wire, Some(&release), &route.link, &opts.gridftp, opts.seed);
         for _ in 0..32 {
             let mut changed = false;
             for m in window..release.len() {
@@ -652,8 +667,9 @@ impl Orchestrator {
             if !changed {
                 break;
             }
-            detail = simulate_transfer_detailed(&wire, Some(&release), &route.link, &opts.gridftp, opts.seed);
+            detail = simulate_transfer_unrecorded(&wire, Some(&release), &route.link, &opts.gridftp, opts.seed);
         }
+        detail.report.record();
         let transfer_s = detail.report.duration_s;
 
         // Merged stall intervals (a chunk encoded but blocked on the window).
@@ -764,6 +780,9 @@ impl Orchestrator {
         if let Some(job) = opts.job {
             if let Some(led) = self.ledger() {
                 let ledger_emit = |k: EventKind, d: Draft| Some(led.append(k, d));
+                let window_full = Some("stream window full".to_string());
+                let lanes_busy = Some("decode lanes busy".to_string());
+                let wan_fault = Some(opts.faults.describe());
                 let begin = ledger_emit(EventKind::JobBegin, Draft::job(job, 0.0));
                 ledger_emit(EventKind::TransferBegin, Draft { parent: begin, ..Draft::job(job, wait_s) });
                 for m in 0..payload.len() {
@@ -774,7 +793,7 @@ impl Orchestrator {
                     let p = if release[m] > ready[m] + 1e-9 {
                         let p = ledger_emit(
                             EventKind::WindowWait,
-                            Draft { parent: p, cause: Some("stream window full".to_string()), ..d(ready[m]) },
+                            Draft { parent: p, cause: window_full.clone(), ..d(ready[m]) },
                         );
                         ledger_emit(EventKind::Released, Draft { parent: p, ..d(release[m]) })
                     } else {
@@ -799,7 +818,7 @@ impl Orchestrator {
                                 EventKind::Fault,
                                 Draft {
                                     parent: p,
-                                    cause: Some(opts.faults.describe()),
+                                    cause: wan_fault.clone(),
                                     attempt: a as u32 + 1,
                                     bytes: (payload[m] as f64 * frac) as u64,
                                     ..d(t0)
@@ -817,7 +836,7 @@ impl Orchestrator {
                     let p = if ds > landed + 1e-9 {
                         let p = ledger_emit(
                             EventKind::ReorderEnter,
-                            Draft { parent: p, cause: Some("decode lanes busy".to_string()), ..d(landed) },
+                            Draft { parent: p, cause: lanes_busy.clone(), ..d(landed) },
                         );
                         ledger_emit(EventKind::ReorderExit, Draft { parent: p, ..d(ds) })
                     } else {

@@ -7,7 +7,7 @@
 //! a single link's bandwidth, with max–min fair sharing across every active
 //! file regardless of owner.
 
-use crate::gridftp::GridFtpConfig;
+use crate::gridftp::{water_fill, GridFtpConfig};
 use crate::link::LinkProfile;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -76,6 +76,7 @@ pub fn simulate_shared_link(batches: &[BatchSpec], link: &LinkProfile, seed: u64
         .collect();
 
     let mut now = 0.0f64;
+    let (mut caps, mut rates, mut unfixed) = (Vec::new(), Vec::new(), Vec::new());
     loop {
         // Activate ready files within each batch's concurrency budget.
         for (k, st) in states.iter_mut().enumerate() {
@@ -101,9 +102,10 @@ pub fn simulate_shared_link(batches: &[BatchSpec], link: &LinkProfile, seed: u64
         }
 
         // Fair share across every flowing file on the link.
-        let caps: Vec<f64> =
-            states.iter().flat_map(|st| st.active.iter().filter(|a| a.2 <= 0.0).map(|a| a.1)).collect();
-        let rates = water_fill_caps(link.bandwidth_bps, &caps);
+        caps.clear();
+        caps.extend(states.iter().flat_map(|st| st.active.iter().filter(|a| a.2 <= 0.0).map(|a| a.1)));
+        rates.resize(caps.len(), 0.0);
+        water_fill(link.bandwidth_bps, &caps, &mut rates, &mut unfixed);
 
         // Next event across all batches.
         let mut dt = f64::INFINITY;
@@ -166,43 +168,6 @@ pub fn simulate_shared_link(batches: &[BatchSpec], link: &LinkProfile, seed: u64
             }
         })
         .collect()
-}
-
-/// Max–min fair allocation over plain caps (shared-link variant of the
-/// single-batch water filling).
-fn water_fill_caps(capacity: f64, caps: &[f64]) -> Vec<f64> {
-    let n = caps.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut rates = vec![0.0f64; n];
-    let mut remaining = capacity;
-    let mut unfixed: Vec<usize> = (0..n).collect();
-    loop {
-        if unfixed.is_empty() || remaining <= 0.0 {
-            break;
-        }
-        let fair = remaining / unfixed.len() as f64;
-        let mut pinned = false;
-        unfixed.retain(|&i| {
-            if caps[i] <= fair {
-                rates[i] = caps[i];
-                remaining -= caps[i];
-                pinned = true;
-                false
-            } else {
-                true
-            }
-        });
-        if !pinned {
-            let fair = remaining / unfixed.len() as f64;
-            for &i in &unfixed {
-                rates[i] = fair;
-            }
-            break;
-        }
-    }
-    rates
 }
 
 #[cfg(test)]
